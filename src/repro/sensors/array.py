@@ -17,11 +17,16 @@ from repro.units import KHZ
 
 _LOGGER = logging.getLogger("repro.sensors")
 
-NOISE_CHUNK = 64
+NOISE_CHUNK = 8
 """Gaussian noise values pre-drawn per sensor on the *first* refill of
 the vectorized sampling path (see :meth:`SensorArray.sample_vector`).
-Each refill doubles the chunk up to :data:`NOISE_CHUNK_MAX`, so short
-runs do not over-draw while long runs amortise the refill overhead."""
+Each refill doubles the chunk up to :data:`NOISE_CHUNK_MAX`, so a run
+draws at most about twice the samples it reads (and at least this
+many): a short run that reads one or two samples draws 8 values per
+sensor, not hundreds, while a long run still amortises the refill
+overhead over 1024-column chunks.  The schedule never changes a
+reading -- column ``j`` is each sensor's ``j``-th draw whatever the
+chunk sizes."""
 
 NOISE_CHUNK_MAX = 1024
 """Upper bound on the geometric noise-chunk growth."""
@@ -93,10 +98,11 @@ class SensorArray:
         self._names = tuple(self._sensors)
         self._has_faults = bool(by_block)
         # Vectorized-path state, built lazily on first sample_vector():
-        # per-sensor fixed offsets and a (n, NOISE_CHUNK) buffer of
-        # pre-drawn Gaussian noise.  Each column refill draws from the
-        # sensors' own RNG streams in block order, so the per-sensor
-        # noise sequence is bit-identical to on-demand scalar reads.
+        # per-sensor fixed offsets and a (n, chunk) buffer of pre-drawn
+        # Gaussian noise, the chunk growing from NOISE_CHUNK.  Each
+        # refill draws from the sensors' own RNG streams in block order,
+        # so the per-sensor noise sequence is bit-identical to on-demand
+        # scalar reads.
         self._offsets: Optional[np.ndarray] = None
         self._noise_buf: Optional[np.ndarray] = None
         self._noise_cursor = 0
@@ -210,9 +216,11 @@ class SensorArray:
         Pre-drawing in chunks amortises the per-call Python overhead of
         the scalar path while consuming exactly the same values from
         exactly the same per-sensor streams: column ``j`` of the buffer
-        holds each sensor's ``j``-th future draw.  The chunk doubles on
-        every refill (64 up to 1024) so the draws wasted at the end of a
-        run stay bounded relative to the draws consumed.
+        holds each sensor's ``j``-th future draw.  The first chunk is
+        small (:data:`NOISE_CHUNK`, 8 columns) and the chunk doubles on
+        every refill up to :data:`NOISE_CHUNK_MAX` (1024), so the draws
+        wasted at the end of a run never exceed the draws consumed by
+        more than the first chunk, and a long run pays few refills.
         """
         chunk = self._noise_chunk
         self._noise_buf = buf = np.empty((len(self._names), chunk))

@@ -19,6 +19,7 @@ benchmarks report thermal steps per second for whole sweeps.
 from __future__ import annotations
 
 import atexit
+import ctypes
 import os
 import pickle
 import threading
@@ -184,6 +185,68 @@ def _default_substrate() -> tuple:
         )
     return _SUBSTRATE
 
+# OpenBLAS thread-count C API as (setter, getter) export names: numpy's
+# 64-bit-integer build, scipy's build, then a system library.
+_OPENBLAS_THREAD_API = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _loaded_openblas() -> List[Tuple[str, Callable, Callable]]:
+    """``(path, set_num_threads, get_num_threads)`` for every OpenBLAS
+    library mapped into this process, found from ``/proc/self/maps``;
+    empty when none is loaded or the platform has no procfs."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted(
+                {
+                    fields[5].strip()
+                    for fields in (line.split(maxsplit=5) for line in maps)
+                    if len(fields) == 6
+                    and "openblas" in os.path.basename(fields[5]).lower()
+                }
+            )
+    except OSError:
+        return []
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for setter, getter in _OPENBLAS_THREAD_API:
+            if hasattr(lib, setter) and hasattr(lib, getter):
+                set_threads = getattr(lib, setter)
+                get_threads = getattr(lib, getter)
+                set_threads.argtypes = [ctypes.c_int]
+                set_threads.restype = None
+                get_threads.argtypes = []
+                get_threads.restype = ctypes.c_int
+                found.append((path, set_threads, get_threads))
+                break
+    return found
+
+
+def _pool_worker_init() -> None:
+    """Pin every OpenBLAS library in a pool worker to one thread.
+
+    The thermal network has 20 nodes: a BLAS call on it is far too
+    small to split, and with every worker running the library's default
+    one thread per CPU, the workers' BLAS threads oversubscribe the
+    cores and spin against each other (measurements in docs/ENGINES.md
+    §6).  Results do not change: every operation runs on the same
+    doubles in one thread.  Only the workers are pinned; the embedding
+    process keeps its own BLAS configuration.  Importing this module
+    already loads both numpy's and scipy's OpenBLAS (the thermal
+    solver imports ``scipy.linalg``), so a worker has both mapped by
+    the time this runs, whether forked or spawned.
+    """
+    for _, set_threads, _ in _loaded_openblas():
+        set_threads(1)
+
+
 # The worker pool persists across run_many calls: a sweep issues one
 # batch per policy configuration, and paying pool start-up per batch
 # would dominate short sweeps.
@@ -221,7 +284,9 @@ def _get_pool(processes: int) -> ProcessPoolExecutor:
         # rebuilt for the same reason: it would lose telemetry.
         _shutdown_pool()
     if _POOL is None:
-        _POOL = ProcessPoolExecutor(max_workers=processes)
+        _POOL = ProcessPoolExecutor(
+            max_workers=processes, initializer=_pool_worker_init
+        )
         _POOL_SIZE = processes
         _POOL_OBS = obs_key
     return _POOL

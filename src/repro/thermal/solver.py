@@ -531,46 +531,6 @@ class ExponentialSolver:
         upper = t_ss + np.maximum(weights, decayed).sum(axis=1)
         return lower, upper
 
-    def span_envelope_bounds(
-        self, p_lo: np.ndarray, p_hi: np.ndarray, span_s: float
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Rigorous per-node bounds on *any* varying-power trajectory
-        over the next ``span_s`` seconds.
-
-        Returns ``(lower, upper)`` such that every trajectory from the
-        current state under *any* measurable power profile ``P(t)`` with
-        ``p_lo <= P(t) <= p_hi`` elementwise satisfies
-        ``lower <= T(t) <= upper`` for all ``t in [0, span_s]``.
-
-        The generalisation from :meth:`span_envelope` rests on the
-        network's order structure: ``-C^{-1} L`` is a Metzler matrix
-        (the off-diagonals of the conductance Laplacian are ``-g_ij <=
-        0``), so the thermal dynamics are *cooperative* and the Kamke-
-        Mueller comparison principle applies -- raising any input can
-        only raise every temperature.  The trajectory under ``P(t)`` is
-        therefore pinched, elementwise and for all ``t``, between the
-        two constant-power extremal trajectories started from the same
-        state, and each extremal trajectory is bounded by its modal
-        envelope.  This is what lets the engine stride across spans of
-        *piecewise-varying* power (leakage drifting with temperature, a
-        controller holding its actuation between samples) with the same
-        threshold-safety proof the constant-power fast-forward uses.
-        """
-        if p_lo.shape != (self._network.size,) or p_hi.shape != (
-            self._network.size,
-        ):
-            raise ThermalModelError(
-                f"power bounds have shapes {p_lo.shape}/{p_hi.shape}, "
-                f"expected ({self._network.size},)"
-            )
-        if np.any(p_lo > p_hi):
-            raise ThermalModelError(
-                "power lower bound exceeds upper bound"
-            )
-        lower, _ = self.span_envelope(p_lo, span_s)
-        _, upper = self.span_envelope(p_hi, span_s)
-        return lower, upper
-
     def span_probe(self, rows: np.ndarray) -> "SpanProbe":
         """An allocation-free span-envelope evaluator restricted to the
         node subset ``rows`` (the engine passes its block-node indices).

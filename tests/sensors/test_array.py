@@ -94,20 +94,61 @@ class TestVectorPath:
     def _vector_temps(self, array, temps):
         return np.array([temps[name] for name in array.block_names])
 
+    @staticmethod
+    def _refill_boundaries():
+        """Sample counts at which the noise buffer runs dry: the
+        cumulative chunk sizes, through the first capped chunk."""
+        boundaries, drawn, chunk = [], 0, NOISE_CHUNK
+        while True:
+            drawn += chunk
+            boundaries.append(drawn)
+            if chunk == NOISE_CHUNK_MAX:
+                return boundaries
+            chunk = min(chunk * 2, NOISE_CHUNK_MAX)
+
     def test_bit_identical_to_scalar_across_chunk_refills(self, floorplan):
+        boundaries = self._refill_boundaries()
+        assert len(boundaries) >= 3
         scalar = SensorArray(floorplan, seed=7)
         vector = SensorArray(floorplan, seed=7)
+        hottest = SensorArray(floorplan, seed=7)
         temps = flat_temps(floorplan)
         vec = self._vector_temps(vector, temps)
         period = scalar.sampling_period_s
-        # Enough samples to cross the first noise-chunk refill and the
-        # doubled second chunk, so buffer turnover is exercised too.
-        count = NOISE_CHUNK + NOISE_CHUNK * 2 + 10
-        for i in range(count):
+        cursors, widths = [], []
+        # Sample k reads column k of the schedule, so comparing every
+        # sample through the last boundary + 1 covers the counts just
+        # before, at and just after each refill.
+        for i in range(boundaries[-1] + 2):
             time_s = i * period
-            assert scalar.sample(temps, time_s) == vector.sample_vector(
-                vec, time_s
-            )
+            expected = scalar.sample(temps, time_s)
+            assert vector.sample_vector(vec, time_s) == expected, i
+            assert hottest.sample_hottest(vec, time_s) == max(
+                expected.values()
+            ), i
+            cursors.append(vector._noise_cursor)
+            widths.append(vector._noise_buf.shape[1])
+        # A sample that left the cursor at 1 read column 0 of a new chunk.
+        refills = [i for i in range(1, len(cursors)) if cursors[i] == 1]
+        assert refills == boundaries
+        assert max(widths) == NOISE_CHUNK_MAX
+
+    def test_one_sample_draws_at_most_the_first_chunk(self, floorplan):
+        array = SensorArray(floorplan, seed=2)
+        draws = {}
+        for name in array.block_names:
+            rng = array._sensors[name]._rng
+
+            def counting(mu, sigma, _gauss=rng.gauss, _name=name):
+                draws[_name] = draws.get(_name, 0) + 1
+                return _gauss(mu, sigma)
+
+            rng.gauss = counting
+        vec = self._vector_temps(array, flat_temps(floorplan))
+        array.sample_vector(vec, 0.0)
+        assert NOISE_CHUNK <= 8
+        assert set(draws) == set(array.block_names)
+        assert max(draws.values()) <= NOISE_CHUNK
 
     def test_noise_chunk_growth_is_bounded(self, floorplan):
         array = SensorArray(floorplan, seed=3)
