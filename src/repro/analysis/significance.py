@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from scipy import stats
-
 from repro.errors import ReproError
 
 
@@ -54,6 +52,11 @@ def paired_comparison(
         return PairedComparison(
             mean_difference=0.0, t_statistic=0.0, p_value=1.0, n=len(keys)
         )
+    # Imported here, not at module level: every ``python -m repro``
+    # command imports this package, and none but this call needs
+    # ``scipy.stats``, which is slow to import and heavy in memory.
+    from scipy import stats
+
     t_stat, p_value = stats.ttest_rel(a, b)
     mean_diff = sum(x - y for x, y in zip(a, b)) / len(keys)
     return PairedComparison(

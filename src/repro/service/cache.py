@@ -56,6 +56,10 @@ class ResultCache:
         return self.root / f"{digest}.json"
 
     def __len__(self) -> int:
+        """Entries on disk, counted by scanning the cache directory.
+
+        O(cache size): meant for STATUS replies and start-up events,
+        never for a per-job path."""
         if not self.root.is_dir():
             return 0
         return sum(1 for _ in self.root.glob("*.json"))
@@ -142,7 +146,11 @@ class ResultCache:
         return added
 
     def stats(self) -> Dict[str, int]:
-        """Counters for STATUS replies and reports."""
+        """Counters for STATUS replies and reports.
+
+        ``entries`` is ``len(self)``, a scan of the cache directory, so
+        this is for explicit operator requests (STATUS) only; the hit
+        and miss counters alone are in memory."""
         return {
             "entries": len(self),
             "hits": self.hits,

@@ -222,8 +222,11 @@ class SweepService:
         state transitions and from the monitor loop, so a ``/metrics``
         scrape between jobs sees live queue depth, in-flight count and
         cache hit-rate rather than values frozen at the last
-        transition.  Cold path: a handful of dict operations every
-        ``progress_interval_s``."""
+        transition.  Cheap on every path that calls it: a handful of
+        dict operations and in-memory counters, O(1) in the cache size.
+        It never touches the cache directory -- the hit rate comes from
+        the cache's hit/miss counters, not :meth:`ResultCache.stats`,
+        whose ``entries`` count is a directory scan kept for STATUS."""
         registry = obs_metrics.REGISTRY
         registry.gauge(
             "service.queue_depth",
@@ -233,12 +236,12 @@ class SweepService:
             "service.inflight_jobs",
             help="jobs currently executing (0 or 1: one executor lane)",
         ).set(1.0 if self._running is not None else 0.0)
-        stats = self.cache.stats()
-        lookups = stats["hits"] + stats["misses"]
+        hits = self.cache.hits
+        lookups = hits + self.cache.misses
         registry.gauge(
             "service.cache_hit_rate",
             help="cache hits / lookups since start (0 before any lookup)",
-        ).set(stats["hits"] / lookups if lookups else 0.0)
+        ).set(hits / lookups if lookups else 0.0)
         registry.gauge(
             "service.clients",
             help="currently connected clients",

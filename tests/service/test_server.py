@@ -486,3 +486,48 @@ class TestGracefulDrain:
             client.drain()
         server.service.request_drain_threadsafe()  # second request: no-op
         assert server.stop() == 0
+
+
+class TestGaugeCost:
+    def test_job_transitions_never_scan_the_cache(
+        self, service_factory, monkeypatch
+    ):
+        """Gauge refreshes run on every enqueue, dispatch and finish and
+        on every monitor tick; they must cost O(1), not a walk of the
+        cache directory.  Only STATUS counts entries on disk."""
+        from repro.obs import metrics as obs_metrics
+        from repro.service.cache import ResultCache
+
+        server = service_factory(fast_runner, progress_interval_s=0.01)
+        scans = []
+        real_len = ResultCache.__len__
+
+        def counting_len(cache):
+            scans.append(cache.root)
+            return real_len(cache)
+
+        monkeypatch.setattr(ResultCache, "__len__", counting_len)
+        cache = server.service.cache
+        with ServiceClient(server.service.config.socket_path) as client:
+            misses = client.submit(
+                [wire(seed=1), wire(seed=2), wire(seed=3)], timeout_s=30.0
+            )
+            # Two repeats (hits), one new spec and its in-submission
+            # duplicate (one miss, one dedup join).
+            mixed = client.submit(
+                [wire(seed=1), wire(seed=2), wire(seed=4), wire(seed=4)],
+                timeout_s=30.0,
+            )
+            assert scans == []
+            assert [o.cached for o in misses] == [False] * 3
+            assert [o.cached for o in mixed] == [True, True, False, False]
+            assert (cache.hits, cache.misses) == (2, 4)
+            gauge = obs_metrics.REGISTRY.gauge("service.cache_hit_rate")
+            expected = cache.hits / (cache.hits + cache.misses)
+            wait_for(lambda: gauge.value == expected,
+                     what="hit-rate gauge refresh")
+            assert scans == []
+            status = client.status()
+        assert status["cache"]["entries"] == 4
+        assert (status["cache"]["hits"], status["cache"]["misses"]) == (2, 4)
+        assert scans == [cache.root]
