@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
@@ -566,31 +567,37 @@ class SimulationEngine(SimEngine):
             stride_dyn_w = np.empty(n_blocks)
             stride_blocks = np.empty(n_blocks)
             stride_leak0_w = np.empty(n_blocks)
-            stride_leak_hi = np.empty(n_blocks)
-            stride_leak_lo = np.empty(n_blocks)
-            stride_d_hi = np.empty(n_blocks)
-            stride_d_lo = np.empty(n_blocks)
-            stride_b_hi = np.empty(n_blocks)
-            stride_b_lo = np.empty(n_blocks)
-            stride_tmp = np.empty(n_blocks)
+            # The proof runs on stacked (upper; lower) rows: the sign
+            # column turns each lower-side difference into the
+            # upper-side one (negation is exact), so the drift band,
+            # its widening and the closure are one call per step
+            # instead of two.
+            stride_sign = np.array([[1.0], [-1.0]])
+            stride_leak = np.empty((2, n_blocks))
+            stride_d = np.empty((2, n_blocks))
+            stride_b = np.empty((2, n_blocks))
+            stride_powers = np.empty((2, n_blocks))
             # Drift-band cache: while consecutive attempts keep passing
             # the a-posteriori closure at an unchanged operating point,
-            # the proven band in ``stride_d_hi``/``stride_d_lo`` is
-            # reused instead of re-guessed from a fresh unwidened
-            # envelope (the closure re-verifies it every attempt, so
-            # the cache can go stale but never unsound).
+            # the proven band in ``stride_d`` is reused instead of
+            # re-guessed from a fresh unwidened envelope (the closure
+            # re-verifies it every attempt, so the cache can go stale
+            # but never unsound).
             stride_band_ok = False
             stride_band_act = None
             stride_band_v = 0.0
             stride_band_f = 0.0
             stride_band_blocks = np.empty(n_blocks)
-            # Stacked (upper; lower) rows so each envelope's leakage
-            # evaluates in one broadcast call instead of two, and the
-            # (hi; lo) perturbed node powers so both widened envelopes
-            # come from one stacked probe pass.
-            stride_pair = np.empty((2, n_blocks))
-            stride_leak_pair = np.empty((2, n_blocks))
-            stride_power_pair = np.zeros((2, network.size))
+
+            def stride_drift_band(envelope, voltage, frequency):
+                """Guess the drift band from an unwidened ``[upper;
+                lower]`` envelope: ``stride_d = max(s * (leak(envelope)
+                - leak0), 0)``, i.e. ``[leak(upper) - leak0; leak0 -
+                leak(lower)]`` clipped at zero."""
+                leakage_vector_fn(envelope, voltage, frequency, out=stride_d)
+                np.subtract(stride_d, stride_leak0_w, out=stride_d)
+                np.multiply(stride_d, stride_sign, out=stride_d)
+                np.maximum(stride_d, 0.0, out=stride_d)
         # Fused dense spans: when no decision can occur before the next
         # sensor sample (the stride disarmed, so the remaining steps run
         # dense), the span executes as one DenseSpanTask request through
@@ -1068,10 +1075,8 @@ class SimulationEngine(SimEngine):
                 # final (interpolated) step and the settle crossing, so
                 # every event the dense path would handle still happens
                 # on a densely stepped iteration.
-                k = int(
-                    np.ceil(
-                        (self._sensors.next_due_s - 1e-12 - time_s) / dt
-                    )
+                k = math.ceil(
+                    (self._sensors.next_due_s - 1e-12 - time_s) / dt
                 )
                 k = min(k, perf.run_length(step_cycles, actuation))
                 if measuring:
@@ -1139,36 +1144,20 @@ class SimulationEngine(SimEngine):
                         and frequency == stride_band_f
                     )
                     if warm:
+                        # ``stride_b`` is free until the band is widened.
+                        scratch = stride_b[0]
                         np.subtract(
-                            stride_blocks, stride_band_blocks,
-                            out=stride_tmp,
+                            stride_blocks, stride_band_blocks, out=scratch
                         )
-                        np.abs(stride_tmp, out=stride_tmp)
-                        warm = float(stride_tmp.max()) <= stride_tol
+                        np.abs(scratch, out=scratch)
+                        warm = float(scratch.max()) <= stride_tol
                     if not warm:
                         # Cold start: guess the band from the unwidened
                         # constant-power envelope.
                         stride_band_ok = False
-                        lower, upper = probe.bounds(power_buffer, k * dt)
-                        stride_pair[0] = upper
-                        stride_pair[1] = lower
-                        leakage_vector_fn(
-                            stride_pair, voltage, frequency,
-                            out=stride_leak_pair,
-                        )
-                        np.subtract(
-                            stride_leak_pair[0], stride_leak0_w,
-                            out=stride_d_hi,
-                        )
-                        np.maximum(stride_d_hi, 0.0, out=stride_d_hi)
-                        np.subtract(
-                            stride_leak0_w, stride_leak_pair[1],
-                            out=stride_d_lo,
-                        )
-                        np.maximum(stride_d_lo, 0.0, out=stride_d_lo)
-                    drift = max(
-                        float(stride_d_hi.max()), float(stride_d_lo.max())
-                    )
+                        envelope = probe.bounds(stride_blocks, k * dt)
+                        stride_drift_band(envelope, voltage, frequency)
+                    drift = float(stride_d.max())
                     # Split the span so each segment's frozen-power
                     # error stays below the drift tolerance; the power
                     # is re-frozen from the jumped temperatures at each
@@ -1177,7 +1166,7 @@ class SimulationEngine(SimEngine):
                     n_seg = (
                         1
                         if drift <= stride_tol
-                        else int(np.ceil(drift / stride_tol))
+                        else math.ceil(drift / stride_tol)
                     )
                     if k // n_seg < 2:
                         stride_ok = False
@@ -1206,31 +1195,8 @@ class SimulationEngine(SimEngine):
                                 # guess envelope does not cover this
                                 # segment, so re-bound and re-guess the
                                 # drift band.
-                                lower, upper = probe.bounds(
-                                    power_buffer, seg_s
-                                )
-                                stride_pair[0] = upper
-                                stride_pair[1] = lower
-                                leakage_vector_fn(
-                                    stride_pair, voltage, frequency,
-                                    out=stride_leak_pair,
-                                )
-                                np.subtract(
-                                    stride_leak_pair[0],
-                                    stride_leak0_w,
-                                    out=stride_d_hi,
-                                )
-                                np.maximum(
-                                    stride_d_hi, 0.0, out=stride_d_hi
-                                )
-                                np.subtract(
-                                    stride_leak0_w,
-                                    stride_leak_pair[1],
-                                    out=stride_d_lo,
-                                )
-                                np.maximum(
-                                    stride_d_lo, 0.0, out=stride_d_lo
-                                )
+                                envelope = probe.bounds(stride_blocks, seg_s)
+                                stride_drift_band(envelope, voltage, frequency)
                             # else: single segment -- the outer band
                             # (cold guess or cached from the last proven
                             # attempt) already describes this span.
@@ -1244,8 +1210,7 @@ class SimulationEngine(SimEngine):
                                 # pass and closure -- this is the
                                 # common rejection mode while DTM
                                 # holds the core near a threshold.
-                                g_hi = float(upper.max())
-                                g_lo = float(lower.max())
+                                g_hi, g_lo = envelope.max(axis=1).tolist()
                                 if (
                                     g_hi > trigger_c >= g_lo
                                     or g_hi > emergency_c >= g_lo
@@ -1254,10 +1219,8 @@ class SimulationEngine(SimEngine):
                                     stride_band_ok = False
                                     ff_spans_rejected += 1
                                     break
-                            np.multiply(stride_d_hi, 2.0, out=stride_b_hi)
-                            stride_b_hi += stride_slack_w
-                            np.multiply(stride_d_lo, 2.0, out=stride_b_lo)
-                            stride_b_lo += stride_slack_w
+                            np.multiply(stride_d, 2.0, out=stride_b)
+                            stride_b += stride_slack_w
                             # Widened extremal envelopes: constant
                             # powers p0 + d_hi and p0 - d_lo pinch any
                             # power trajectory inside the band
@@ -1267,56 +1230,33 @@ class SimulationEngine(SimEngine):
                             # stacked probe pass computes the upper
                             # envelope of the inflated power and the
                             # lower envelope of the deflated one.
-                            # The pair rows were zero-initialised and
-                            # only the block-node entries are ever
-                            # written: ``power_buffer`` is nonzero only
-                            # at ``node_idx`` too, so the rows track it
-                            # without full-vector copies.
-                            np.add(
-                                stride_blocks, stride_b_hi,
-                                out=stride_tmp,
+                            np.multiply(
+                                stride_b, stride_sign, out=stride_powers
                             )
-                            stride_power_pair[0, node_idx] = stride_tmp
-                            np.subtract(
-                                stride_blocks, stride_b_lo,
-                                out=stride_tmp,
-                            )
-                            stride_power_pair[1, node_idx] = stride_tmp
-                            w_lower, w_upper = probe.widened(
-                                stride_power_pair, seg_s
-                            )
+                            stride_powers += stride_blocks
+                            widened = probe.widened(stride_powers, seg_s)
                             # A-posteriori closure: leakage anywhere in
                             # the widened box stays inside the assumed
                             # band, so the box provably traps the true
-                            # drifting-power trajectory.
-                            stride_pair[0] = w_upper
-                            stride_pair[1] = w_lower
+                            # drifting-power trajectory.  ``x - b <= 0``
+                            # is ``x <= b`` under gradual underflow,
+                            # and a NaN fails both.
                             leakage_vector_fn(
-                                stride_pair, voltage, frequency,
-                                out=stride_leak_pair,
+                                widened, voltage, frequency, out=stride_leak
                             )
-                            np.subtract(
-                                stride_leak_pair[0],
-                                stride_leak0_w,
-                                out=stride_leak_hi,
-                            )
-                            np.subtract(
-                                stride_leak0_w,
-                                stride_leak_pair[1],
-                                out=stride_leak_lo,
-                            )
-                            safe = bool(
-                                np.all(stride_leak_hi <= stride_b_hi)
-                                and np.all(stride_leak_lo <= stride_b_lo)
-                            )
+                            stride_leak -= stride_leak0_w
+                            stride_leak *= stride_sign
+                            stride_leak -= stride_b
+                            safe = bool(stride_leak.max() <= 0.0)
                             span_violations = 0
                             span_trigger_s = 0.0
                             if safe and measuring:
                                 # Threshold classification: jump only
                                 # when every jumped step's accounting is
                                 # provably exact.
-                                hot_upper = float(w_upper.max())
-                                hot_lower = float(w_lower.max())
+                                hot_upper, hot_lower = (
+                                    widened.max(axis=1).tolist()
+                                )
                                 if hot_upper <= trigger_c:
                                     pass
                                 elif (

@@ -263,9 +263,11 @@ class ExponentialSolver:
     is the zero-order hold on the power, which backward Euler makes
     too).  A span of K steps with unchanged power jumps in closed form
     through :meth:`fast_forward`, using ``A_d^K`` composed from cached
-    squarings, and :meth:`span_envelope` gives rigorous per-node bounds
-    on the constant-power trajectory over the span so callers can prove
-    a jump crosses no thermal threshold.
+    squarings.  :meth:`span_envelope` gives rigorous per-node bounds on
+    the constant-power trajectory over a span; it is the reference
+    form.  The engine's stride proves its jumps with :meth:`span_probe`
+    instead: the same bounds on the block rows, evaluated in closed form
+    from block powers (:class:`SpanProbe`).
 
     The interface matches :class:`TransientSolver` (``step`` /
     ``temperatures`` / ``time_s`` / ``reset``), so the two are
@@ -532,9 +534,10 @@ class ExponentialSolver:
         return lower, upper
 
     def span_probe(self, rows: np.ndarray) -> "SpanProbe":
-        """An allocation-free span-envelope evaluator restricted to the
-        node subset ``rows`` (the engine passes its block-node indices).
-        See :class:`SpanProbe`."""
+        """A closed-form :meth:`span_envelope` over the node subset
+        ``rows``, taking powers on those rows only: every other node
+        must inject zero power (the engine passes its block-node
+        indices).  See :class:`SpanProbe`."""
         return SpanProbe(self, rows)
 
     def reset(self, temperatures: np.ndarray) -> None:
@@ -550,169 +553,122 @@ class ExponentialSolver:
 
 
 class SpanProbe:
-    """Allocation-free span-envelope evaluator over a fixed row subset.
+    """Closed-form span envelope over a fixed row subset, in stacked form.
 
     The engine's event-driven stride asks, once per sensor period, for
-    bounds on the hottest *block* temperature over the coming span.
-    :meth:`ExponentialSolver.span_envelope` answers that with ~six fresh
-    arrays per call; at a few thousand calls per run the allocator
-    becomes a measurable slice of the hot path.  This probe precomputes
-    the modal basis restricted to the requested rows, caches the span
-    decay vector per span length, and reuses one set of buffers, so a
-    call is a handful of in-place BLAS/ufunc operations.
+    bounds on the *block* temperatures over the coming span, under a
+    constant power injected at those blocks.  This probe answers it in
+    a handful of in-place numpy calls on buffers it owns.
 
-    The returned bound arrays are the probe's own buffers: read them
-    before the next :meth:`bounds` call.  Bounds are numerically
-    identical to ``span_envelope(power, span_s)`` restricted to
-    ``rows`` (same operations on the same doubles, reassociated only
-    where float addition order is already unspecified upstream).
+    Per modal term ``w`` with span decay ``d`` in ``(0, 1]``,
+    ``max(w, w d) = w h+ + |w| h-`` and ``min(w, w d) = w h+ - |w| h-``
+    with ``h± = (1 ± d) / 2``.  With the modal coordinate
+    ``c = H (T - T_ss)``, ``H = V^T C^{1/2}``, and the row-restricted,
+    un-whitened basis ``R = V[rows] C^{-1/2}[rows]``, the envelope of
+    :meth:`ExponentialSolver.span_envelope` on the rows is therefore
+
+        upper/lower = T_ss[rows] + R (c ∘ h+) ± |R| (|c| ∘ h-).
+
+    Only the pair ``[h+, h-]`` depends on the span length; it is cached
+    per span in an LRU of :data:`FACTOR_CACHE_SIZE` entries.  Everything
+    else is one of three constant operators built here:
+
+    * ``[p | 1 | T] -> c``: ``c = H T - H L^{-1} u`` with the power
+      ``u`` split into the row powers ``p`` and the ambient source.
+      Every node outside ``rows`` is taken to inject zero power -- true
+      of the package nodes (spreader, sink), which dissipate nothing
+      (:meth:`~repro.thermal.rc_model.ThermalNetwork.power_vector`), when
+      ``rows`` are the block nodes.
+    * ``[c ∘ h+ | |c| ∘ h- | p | 1] -> upper`` and ``-> lower``: the
+      modal sums plus ``T_ss[rows] = L^{-1}[rows, rows] p +
+      (L^{-1} u_amb)[rows]``.
+
+    Inputs are row powers: ``(m,)`` for :meth:`bounds`, ``(2, m)`` for
+    :meth:`widened`.  Both return the probe's own ``(2, m)`` buffer
+    holding ``[upper; lower]``, overwritten by the next call.  The
+    bounds equal ``span_envelope`` on the rows up to the reassociation
+    of the sums (about 1e-13 C on the default network;
+    ``tests/thermal/test_span_probe.py``).
     """
 
     def __init__(self, solver: "ExponentialSolver", rows: np.ndarray):
         self._solver = solver
         rows = np.asarray(rows, dtype=np.intp)
-        self._rows = rows
-        network = solver._network
-        n = network.size
+        n = solver._network.size
         m = rows.size
         rates, vectors = solver._mode_basis()
         self._rates = rates
-        self._vectors_t = np.ascontiguousarray(vectors.T)
-        # Row-restricted, capacitance-unwhitened basis: row i of
-        # ``row_basis * coeffs`` is node rows[i]'s modal weight vector.
-        self._row_basis = np.ascontiguousarray(
-            vectors[rows] * solver._inv_c_sqrt[rows, None]
-        )
-        self._linv = solver._linv
-        # Steady-state response of the row subset to extra power *on*
-        # the row subset: bounds the trajectory shift from a power
-        # perturbation confined to those nodes (see ``response_bound``).
-        self._linv_rows = np.ascontiguousarray(
-            solver._linv[np.ix_(rows, rows)]
-        )
-        self._c_sqrt = solver._c_sqrt
-        self._ambient_source = solver._ambient_source
-        self._exp_cache = _LruCache(FACTOR_CACHE_SIZE)
-        # Transposed-contiguous copies so the paired (2, n) variants run
-        # as one dgemm each instead of two dgemv dispatches.
-        self._linv_t = np.ascontiguousarray(solver._linv.T)
-        self._vectors = np.ascontiguousarray(vectors)
-        # Reused buffers.
-        self._u = np.empty(n)
-        self._t_ss = np.empty(n)
-        self._diff = np.empty(n)
-        self._coeffs = np.empty(n)
-        self._weights = np.empty((m, n))
-        self._decayed = np.empty((m, n))
-        self._extreme = np.empty((m, n))
-        self._lower = np.empty(m)
-        self._upper = np.empty(m)
-        self._resp = np.empty(m)
-        self._pair_u = np.empty((2, n))
-        self._pair_t_ss = np.empty((2, n))
-        self._pair_diff = np.empty((2, n))
-        self._pair_coeffs = np.empty((2, n))
+        modal = vectors.T * solver._c_sqrt
+        # Steady-state response to each row's unit power (one column per
+        # row) and to the ambient source (last column): ``[L^{-1}[:,
+        # rows] | L^{-1} u_amb]``.
+        sources = np.zeros((n, m + 1))
+        sources[rows, np.arange(m)] = 1.0
+        sources[:, m] = solver._ambient_source
+        response = solver._linv @ sources
+        self._coeff_op = np.empty((m + 1 + n, n))
+        np.negative((modal @ response).T, out=self._coeff_op[:m + 1])
+        self._coeff_op[m + 1:] = modal.T
+        basis_t = (vectors[rows] * solver._inv_c_sqrt[rows, None]).T
+        ops = np.empty((2, 2 * n + m + 1, m))
+        ops[:, :n] = basis_t
+        np.abs(basis_t, out=ops[0, n:2 * n])
+        np.negative(ops[0, n:2 * n], out=ops[1, n:2 * n])
+        ops[:, 2 * n:] = response[rows].T
+        self._upper_op, self._lower_op = ops
+        self._halves_cache = _LruCache(FACTOR_CACHE_SIZE)
+        # One work row per envelope side, laid out
+        # ``[c ∘ h+ | |c| ∘ h- | p | 1 | T]`` so both products read
+        # contiguous slices of it.
+        work = np.empty((2, 2 * n + m + 1 + n))
+        work[:, 2 * n + m] = 1.0
+        self._powers_in = work[:, 2 * n:2 * n + m]
+        self._temps_in = work[:, 2 * n + m + 1:]
+        self._coeff_in = work[:, 2 * n:]
+        self._signed = work[:, :n]
+        self._magnitude = work[:, n:2 * n]
+        self._modal = work[:, :2 * n]
+        self._upper_in = work[0, :2 * n + m + 1]
+        self._lower_in = work[1, :2 * n + m + 1]
+        self._coeffs = np.empty((2, n))
+        self._out = np.empty((2, m))
+        self._upper = self._out[0]
+        self._lower = self._out[1]
 
-    def _decay(self, span_s: float) -> np.ndarray:
+    def _halves(self, span_s: float) -> np.ndarray:
+        """``[h+, h-]`` for a span of ``span_s`` seconds, cached per span."""
         key = int(round(span_s * 1e15))
-        cached = self._exp_cache.get(key)
+        cached = self._halves_cache.get(key)
         if cached is None:
-            cached = np.exp(-self._rates * span_s)
-            self._exp_cache.put(key, cached)
+            decay = np.exp(-self._rates * span_s)
+            cached = np.concatenate([(1.0 + decay) * 0.5, (1.0 - decay) * 0.5])
+            self._halves_cache.put(key, cached)
         return cached
 
-    def bounds(
-        self, power: np.ndarray, span_s: float
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(lower, upper)`` over the probe's rows for the constant-
-        ``power`` trajectory over ``[0, span_s]`` -- the row-restricted
-        :meth:`ExponentialSolver.span_envelope`, without allocation.
-        Returns internal buffers, overwritten by the next call."""
-        solver = self._solver
-        u = self._u
-        np.add(power, self._ambient_source, out=u)
-        t_ss = self._t_ss
-        np.dot(self._linv, u, out=t_ss)
-        diff = self._diff
-        np.subtract(solver._temps, t_ss, out=diff)
-        diff *= self._c_sqrt
-        np.dot(self._vectors_t, diff, out=self._coeffs)
-        weights = self._weights
-        np.multiply(self._row_basis, self._coeffs[None, :], out=weights)
-        decayed = self._decayed
-        np.multiply(weights, self._decay(span_s)[None, :], out=decayed)
-        extreme = self._extreme
-        np.minimum(weights, decayed, out=extreme)
-        lower = self._lower
-        extreme.sum(axis=1, out=lower)
-        lower += t_ss[self._rows]
-        np.maximum(weights, decayed, out=extreme)
-        upper = self._upper
-        extreme.sum(axis=1, out=upper)
-        upper += t_ss[self._rows]
-        return lower, upper
+    def bounds(self, powers: np.ndarray, span_s: float) -> np.ndarray:
+        """``[upper; lower]`` on the rows for the trajectory under the
+        constant row powers ``powers`` over ``[0, span_s]``: the
+        row-restricted :meth:`ExponentialSolver.span_envelope`.  Returns
+        the probe's buffer, overwritten by the next call."""
+        return self.widened(powers, span_s)
 
-    def widened(
-        self, power_pair: np.ndarray, span_s: float
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(lower, upper)`` where ``upper`` bounds the constant-
-        ``power_pair[0]`` trajectory from above and ``lower`` bounds the
-        constant-``power_pair[1]`` trajectory from below, over
-        ``[0, span_s]`` on the probe's rows.
-
-        This is the half of two :meth:`bounds` calls the engine's
-        widened-envelope closure actually consumes (the upper bound of
-        the leakage-inflated power, the lower bound of the deflated
-        one), computed in one stacked pass so the two steady-state and
-        modal projections run as single (2, n) x (n, n) matmuls instead
-        of four matvec dispatches.  Each returned bound is numerically
-        the same function of the same doubles as the corresponding
-        :meth:`bounds` output.  Returns internal buffers, overwritten by
-        the next :meth:`bounds` or :meth:`widened` call."""
-        solver = self._solver
-        u = self._pair_u
-        np.add(power_pair, self._ambient_source[None, :], out=u)
-        t_ss = self._pair_t_ss
-        np.dot(u, self._linv_t, out=t_ss)
-        diff = self._pair_diff
-        np.subtract(solver._temps[None, :], t_ss, out=diff)
-        diff *= self._c_sqrt[None, :]
-        np.dot(diff, self._vectors, out=self._pair_coeffs)
-        decay = self._decay(span_s)
-        weights = self._weights
-        decayed = self._decayed
-        extreme = self._extreme
-        np.multiply(self._row_basis, self._pair_coeffs[0][None, :], out=weights)
-        np.multiply(weights, decay[None, :], out=decayed)
-        np.maximum(weights, decayed, out=extreme)
-        upper = self._upper
-        extreme.sum(axis=1, out=upper)
-        upper += t_ss[0, self._rows]
-        np.multiply(self._row_basis, self._pair_coeffs[1][None, :], out=weights)
-        np.multiply(weights, decay[None, :], out=decayed)
-        np.minimum(weights, decayed, out=extreme)
-        lower = self._lower
-        extreme.sum(axis=1, out=lower)
-        lower += t_ss[1, self._rows]
-        return lower, upper
-
-    def response_bound(self, delta_rows: np.ndarray) -> np.ndarray:
-        """Elementwise bound on the extra trajectory movement caused by
-        adding a constant power perturbation ``delta_rows >= 0`` (one
-        entry per probe row, applied at those nodes) on top of any
-        profile already covered by :meth:`bounds`.
-
-        By linearity the perturbed trajectory is the unperturbed one
-        plus the zero-state response ``(I - e^{-C^{-1}L t}) L^{-1} d``,
-        which for ``d >= 0`` is elementwise nonnegative, monotone in
-        ``t`` and bounded by its asymptote ``L^{-1} d``.  Adding the
-        returned vector to an upper bound (or subtracting the bound for
-        ``-d`` from a lower bound) therefore keeps the envelope rigorous
-        under power drift of at most ``delta_rows`` -- the a-posteriori
-        closure the engine uses for temperature-dependent leakage.
-        Returns an internal buffer, overwritten by the next call."""
-        np.dot(self._linv_rows, delta_rows, out=self._resp)
-        return self._resp
+    def widened(self, power_pair: np.ndarray, span_s: float) -> np.ndarray:
+        """``[upper; lower]`` where ``upper`` bounds the trajectory under
+        the constant row powers ``power_pair[0]`` from above and
+        ``lower`` bounds the one under ``power_pair[1]`` from below, over
+        ``[0, span_s]``.  An ``(m,)`` ``power_pair`` is broadcast to both
+        rows (that is :meth:`bounds`).  Returns the probe's buffer,
+        overwritten by the next call."""
+        np.copyto(self._powers_in, power_pair)
+        np.copyto(self._temps_in, self._solver._temps)
+        coeffs = self._coeffs
+        np.dot(self._coeff_in, self._coeff_op, out=coeffs)
+        np.abs(coeffs, out=self._magnitude)
+        np.copyto(self._signed, coeffs)
+        self._modal *= self._halves(span_s)
+        np.dot(self._upper_in, self._upper_op, out=self._upper)
+        np.dot(self._lower_in, self._lower_op, out=self._lower)
+        return self._out
 
 
 def step_lockstep(solvers, powers, dt: float):
