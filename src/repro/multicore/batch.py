@@ -18,8 +18,9 @@ the sweep machinery calls:
   :func:`~repro.sim.batch.run_one`, so serial, pooled, retried and
   lockstep-delegated paths all execute a dual-core spec identically.
 
-Dual-core specs never enter a BLAS-3 lockstep group (each engine owns a
-private thermal network) and never ride the shared-memory sweep segment
+Dual-core specs never enter a BLAS-3 lockstep group (their engines run
+the dual-core die's network, shared per process, on their own step
+loop) and never ride the shared-memory sweep segment
 (whose layout is single-core); both paths detect the spec type and fall
 back to per-spec dispatch.
 """
@@ -161,12 +162,11 @@ class DualCoreRunSpec:
 _WARMUP_CACHE: Dict[str, np.ndarray] = {}
 
 
-def _resolve_workloads(spec: DualCoreRunSpec):
-    from repro.workloads.spec import build_benchmark
+def _resolve_workloads(workloads) -> list:
+    from repro.sim.batch import _named_workload
 
     return [
-        build_benchmark(w) if isinstance(w, str) else w
-        for w in spec.workloads
+        _named_workload(w) if isinstance(w, str) else w for w in workloads
     ]
 
 
@@ -182,11 +182,7 @@ def _build_policies(spec: DualCoreRunSpec):
 def dual_core_steady_state(workloads) -> np.ndarray:
     """No-DTM dual-core steady-state node temperatures, cached per
     process (a copy is returned)."""
-    from repro.workloads.spec import build_benchmark
-
-    built = [
-        build_benchmark(w) if isinstance(w, str) else w for w in workloads
-    ]
+    built = _resolve_workloads(workloads)
     key = "+".join(w.name for w in built)
     cached = _WARMUP_CACHE.get(key)
     if cached is None:
@@ -201,7 +197,7 @@ def build_engine(spec: DualCoreRunSpec) -> MultiCoreEngine:
     if spec.hopping is not None:
         hopper = CoreHopper(spec.hopping, thresholds=spec.thresholds)
     return MultiCoreEngine(
-        _resolve_workloads(spec),
+        _resolve_workloads(spec.workloads),
         policies=_build_policies(spec),
         hopper=hopper,
         thresholds=spec.thresholds,

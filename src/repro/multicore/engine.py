@@ -79,6 +79,31 @@ transfer through the shared L2)."""
 
 _L2_BANKS = ("L2", "L2_left", "L2_mid", "L2_right")
 
+_SUBSTRATE_CACHE_SIZE = 8
+"""Dual-core substrates kept per process (one per thermal package)."""
+
+# Per-process dual-core substrate (floorplan, thermal model, power
+# model) per package, shared by every engine like the single-core
+# default substrate of :mod:`repro.sim.batch`: all three are read-only
+# after construction, and building them (floorplan adjacency, network
+# assembly) is the dominant per-spec fixed cost of a short sweep.
+_SUBSTRATES: Dict[ThermalPackage, tuple] = {}
+
+
+def _dual_core_substrate(package: ThermalPackage) -> tuple:
+    substrate = _SUBSTRATES.get(package)
+    if substrate is None:
+        floorplan = build_dual_core_floorplan()
+        substrate = (
+            floorplan,
+            HotSpotModel(floorplan, package),
+            PowerModel(floorplan, specs=dual_core_power_specs(floorplan)),
+        )
+        if len(_SUBSTRATES) >= _SUBSTRATE_CACHE_SIZE:
+            _SUBSTRATES.clear()
+        _SUBSTRATES[package] = substrate
+    return substrate
+
 # Per-workload activity vectors are emitted in this order: the per-core
 # blocks, then the workload's shared-L2 demand as the final entry.
 _WORKLOAD_BLOCK_ORDER = tuple(CORE_BLOCKS) + ("L2",)
@@ -198,12 +223,9 @@ class MultiCoreEngine(SimEngine):
         if hop_stall_s < 0.0:
             raise SimulationError("hop stall must be >= 0")
         self._workloads = list(workloads)
-        self._floorplan = build_dual_core_floorplan()
-        self._hotspot = HotSpotModel(
-            self._floorplan,
-            package if package is not None else DUAL_CORE_PACKAGE,
+        self._floorplan, self._hotspot, self._power = _dual_core_substrate(
+            package if package is not None else DUAL_CORE_PACKAGE
         )
-        self._power = PowerModel(self._floorplan, specs=dual_core_power_specs())
         self._config = config if config is not None else EngineConfig()
         self._seed = seed
         self._hop_stall_s = hop_stall_s

@@ -16,7 +16,7 @@ the helpers here translate between base names and instances.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.errors import FloorplanError
 from repro.floorplan.alpha21364 import _BLOCK_GEOMETRY_MM, CORE_BLOCKS
@@ -91,14 +91,19 @@ def build_dual_core_floorplan() -> Floorplan:
     return Floorplan(blocks, name="alpha-dual-core")
 
 
-def dual_core_power_specs() -> Dict[str, BlockPowerSpec]:
+def dual_core_power_specs(
+    floorplan: Optional[Floorplan] = None,
+) -> Dict[str, BlockPowerSpec]:
     """Per-block specs for the dual-core die.
 
     Core blocks inherit the single-core budget; the L2 banks keep the
     single-core L2's power *density* scaled to each bank's area.
+    ``floorplan`` is the die's :func:`build_dual_core_floorplan`, built
+    here when not given.
     """
     base = default_power_specs()
-    floorplan = build_dual_core_floorplan()
+    if floorplan is None:
+        floorplan = build_dual_core_floorplan()
     specs: Dict[str, BlockPowerSpec] = {}
 
     # The base design's L2 density (bottom band, W/m^2).

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import logging
-from typing import Dict, Mapping, Optional, Sequence
+import math
+import random
+import threading
+from collections import OrderedDict
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -18,18 +22,108 @@ from repro.units import KHZ
 _LOGGER = logging.getLogger("repro.sensors")
 
 NOISE_CHUNK = 8
-"""Gaussian noise values pre-drawn per sensor on the *first* refill of
-the vectorized sampling path (see :meth:`SensorArray.sample_vector`).
-Each refill doubles the chunk up to :data:`NOISE_CHUNK_MAX`, so a run
-draws at most about twice the samples it reads (and at least this
-many): a short run that reads one or two samples draws 8 values per
-sensor, not hundreds, while a long run still amortises the refill
-overhead over 1024-column chunks.  The schedule never changes a
-reading -- column ``j`` is each sensor's ``j``-th draw whatever the
-chunk sizes."""
+"""Rows in the first chunk of a :class:`NoiseTable`.  Each further
+chunk doubles up to :data:`NOISE_CHUNK_MAX`, so a table holds at most
+about twice the rows its longest run has read (and at least this
+many): a seed whose runs read one or two samples draws 8 values per
+sensor, not hundreds.  The schedule never changes a reading -- row
+``j`` is each sensor's ``j``-th draw whatever the chunk sizes."""
 
 NOISE_CHUNK_MAX = 1024
 """Upper bound on the geometric noise-chunk growth."""
+
+NOISE_TABLES = 8
+"""Noise tables kept per process; the least recently used is dropped
+(arrays already reading it keep their reference)."""
+
+
+def _sensor_seed(seed: int, index: int) -> int:
+    """RNG seed of the ``index``-th sensor of an array seeded ``seed``."""
+    return seed * 1009 + index
+
+
+class NoiseTable:
+    """Fixed offsets and pre-drawn Gaussian noise of one sensor seed.
+
+    Sensor ``i`` of an array seeded ``s`` draws from its own stream,
+    ``random.Random(s * 1009 + i)``: the fixed offset first, then one
+    Gaussian per sample.  The table replays those streams once per
+    process: :attr:`offsets` holds the offsets, and row ``j`` of the
+    concatenated :meth:`chunk` arrays holds each sensor's ``j``-th
+    draw, so a fault-free array reading rows ``0, 1, 2, ...`` sees
+    exactly the noise of on-demand :class:`ThermalSensor` reads.
+
+    Every array built with the same ``(seed, sensor count,
+    parameters)`` shares the table through :func:`noise_table` and
+    reads it through its own cursor.  Chunks are drawn on first demand
+    (under a lock, so concurrent readers cannot interleave draws) and
+    are read-only afterwards; the table therefore only grows, to the
+    rows of the longest run that used it.
+    """
+
+    def __init__(self, parameters: SensorParameters, seed: int, count: int):
+        self._sigma = parameters.noise_sigma_c
+        bound = parameters.max_offset_c
+        self._rngs = [
+            random.Random(_sensor_seed(seed, index)) for index in range(count)
+        ]
+        self.offsets = np.array(
+            [rng.uniform(-bound, bound) for rng in self._rngs]
+        )
+        self.offsets.setflags(write=False)
+        self._chunks: List[np.ndarray] = []
+        self._lock = threading.Lock()
+
+    @property
+    def rows(self) -> int:
+        """Noise rows drawn so far (one per sample read ahead)."""
+        return sum(len(chunk) for chunk in self._chunks)
+
+    def chunk(self, index: int) -> np.ndarray:
+        """Chunk ``index`` of the noise rows, ``(rows, sensors)``,
+        drawn (with every chunk before it) on first demand."""
+        chunks = self._chunks
+        if index >= len(chunks):
+            with self._lock:
+                while index >= len(chunks):
+                    rows = min(NOISE_CHUNK << len(chunks), NOISE_CHUNK_MAX)
+                    chunks.append(self._draw(rows))
+        return chunks[index]
+
+    def _draw(self, rows: int) -> np.ndarray:
+        block = np.empty((rows, len(self._rngs)))
+        sigma = self._sigma
+        for i, rng in enumerate(self._rngs):
+            gauss = rng.gauss
+            block[:, i] = [gauss(0.0, sigma) for _ in range(rows)]
+        block.setflags(write=False)
+        return block
+
+
+_TABLES: "OrderedDict[tuple, NoiseTable]" = OrderedDict()
+_TABLES_LOCK = threading.Lock()
+
+
+def noise_table(
+    parameters: SensorParameters, seed: int, count: int
+) -> NoiseTable:
+    """The process's :class:`NoiseTable` for ``count`` sensors seeded
+    ``seed`` under ``parameters``, built on first use; at most
+    :data:`NOISE_TABLES` are kept."""
+    key = (seed, count, parameters)
+    with _TABLES_LOCK:
+        table = _TABLES.get(key)
+        if table is None:
+            table = _TABLES[key] = NoiseTable(parameters, seed, count)
+            if len(_TABLES) > NOISE_TABLES:
+                _TABLES.popitem(last=False)
+        else:
+            _TABLES.move_to_end(key)
+    return table
+
+
+_NO_NOISE = np.empty((0, 0))
+_NO_NOISE.setflags(write=False)
 
 
 class SensorArray:
@@ -47,6 +141,11 @@ class SensorArray:
     an array with *no* live sensor raises
     :class:`~repro.errors.SensorFaultError` instead of returning an
     empty (and silently violation-free) sample.
+
+    The fixed offsets and the noise of the vectorized paths come from
+    the seed's shared :class:`NoiseTable`; the per-sensor
+    :class:`ThermalSensor` objects (and their RNG streams) are built
+    only when the scalar :meth:`sample` path is first used.
     """
 
     def __init__(
@@ -86,43 +185,34 @@ class SensorArray:
                 count=len(by_block),
                 blocks=",".join(sorted(by_block)),
             )
-        self._sensors: Dict[str, ThermalSensor] = {
-            name: ThermalSensor(
-                self._params,
-                seed=seed * 1009 + index,
-                fault=by_block.get(name),
-            )
-            for index, name in enumerate(floorplan.block_names)
-        }
+        self._seed = seed
+        self._faults = by_block
+        self._names = tuple(floorplan.block_names)
+        self._table = noise_table(self._params, seed, len(self._names))
+        self._offsets = self._table.offsets
         self._last_sample_s = -self._period_s  # first sample due at t = 0
-        self._names = tuple(self._sensors)
-        self._has_faults = bool(by_block)
-        # Vectorized-path state, built lazily on first sample_vector():
-        # per-sensor fixed offsets and a (n, chunk) buffer of pre-drawn
-        # Gaussian noise, the chunk growing from NOISE_CHUNK.  Each
-        # refill draws from the sensors' own RNG streams in block order,
-        # so the per-sensor noise sequence is bit-identical to on-demand
-        # scalar reads.
-        self._offsets: Optional[np.ndarray] = None
-        self._noise_buf: Optional[np.ndarray] = None
-        self._noise_cursor = 0
-        self._noise_chunk = NOISE_CHUNK
+        # Scalar-path sensors, built on the first sample() call.
+        self._sensors: Optional[Dict[str, ThermalSensor]] = None
+        # Vectorized-path cursor: row ``_row`` of chunk ``_chunk_index``
+        # of the shared table is the next sample's noise.
+        self._chunk_index = -1
+        self._noise = _NO_NOISE
+        self._row = 0
 
     def reset(self) -> None:
         """Rewind the array to construction state.
 
-        Re-seeds every sensor's RNG stream and discards the vectorized
-        path's pre-drawn noise, so a reset array replays bit-identical
-        readings on a repeated run (the engine contract's
-        reset-reentrancy guarantee).
+        Rewinds the noise cursor to the table's first row and drops the
+        scalar path's sensors (rebuilt, re-seeded, on the next
+        :meth:`sample`), so a reset array replays bit-identical readings
+        on a repeated run (the engine contract's reset-reentrancy
+        guarantee).
         """
-        for sensor in self._sensors.values():
-            sensor.reset()
         self._last_sample_s = -self._period_s
-        self._offsets = None
-        self._noise_buf = None
-        self._noise_cursor = 0
-        self._noise_chunk = NOISE_CHUNK
+        self._sensors = None
+        self._chunk_index = -1
+        self._noise = _NO_NOISE
+        self._row = 0
 
     @property
     def parameters(self) -> SensorParameters:
@@ -144,14 +234,15 @@ class SensorArray:
         """True when :meth:`sample_vector` reproduces :meth:`sample`
         exactly: no injected sensor faults (stuck/offset/dropout
         handling stays on the scalar path)."""
-        return not self._has_faults
+        return not self._faults
 
     def offset_of(self, block: str) -> float:
         """Fixed offset of one block's sensor."""
         try:
-            return self._sensors[block].offset_c
-        except KeyError:
+            index = self._names.index(block)
+        except ValueError:
             raise SimulationError(f"no sensor on block {block!r}") from None
+        return float(self._offsets[index])
 
     @property
     def next_due_s(self) -> float:
@@ -168,6 +259,22 @@ class SensorArray:
         ``time_s`` (at least one sampling period since the last)."""
         return time_s - self._last_sample_s >= self._period_s - 1e-12
 
+    def _check_due(self, time_s: float) -> None:
+        if not self.due(time_s):
+            raise SimulationError(
+                f"sensor sample at t={time_s * 1e6:.1f} us violates the "
+                f"{self._period_s * 1e6:.0f} us sampling period"
+            )
+        self._last_sample_s = time_s
+
+    def _mixing_error(self) -> SimulationError:
+        # Both paths read the same per-sensor streams from their first
+        # draw, so switching paths mid-run would replay or skip noise.
+        return SimulationError(
+            "cannot mix sample() and sample_vector() on one array: "
+            "each path reads the noise streams from their start"
+        )
+
     def sample(
         self, true_temps_c: Mapping[str, float], time_s: float
     ) -> Dict[str, float]:
@@ -177,22 +284,21 @@ class SensorArray:
         early raises, which catches controllers that assume a faster
         sampling rate than the hardware provides.
         """
-        if not self.due(time_s):
-            raise SimulationError(
-                f"sensor sample at t={time_s * 1e6:.1f} us violates the "
-                f"{self._period_s * 1e6:.0f} us sampling period"
-            )
-        if self._noise_buf is not None:
-            # sample_vector() pre-draws noise, so a scalar read here
-            # would consume values out of order and silently diverge
-            # from the pure-scalar noise sequence.
-            raise SimulationError(
-                "cannot mix sample() and sample_vector() on one array: "
-                "the vectorized path has pre-drawn noise in flight"
-            )
-        self._last_sample_s = time_s
+        sensors = self._sensors
+        if sensors is None:
+            if self._chunk_index >= 0:
+                raise self._mixing_error()
+            sensors = self._sensors = {
+                name: ThermalSensor(
+                    self._params,
+                    seed=_sensor_seed(self._seed, index),
+                    fault=self._faults.get(name),
+                )
+                for index, name in enumerate(self._names)
+            }
+        self._check_due(time_s)
         readings: Dict[str, float] = {}
-        for name, sensor in self._sensors.items():
+        for name, sensor in sensors.items():
             if not sensor.alive:
                 continue
             if name not in true_temps_c:
@@ -210,27 +316,29 @@ class SensorArray:
             )
         return readings
 
-    def _refill_noise(self) -> np.ndarray:
-        """Draw the next chunk of Gaussians from every sensor's RNG.
-
-        Pre-drawing in chunks amortises the per-call Python overhead of
-        the scalar path while consuming exactly the same values from
-        exactly the same per-sensor streams: column ``j`` of the buffer
-        holds each sensor's ``j``-th future draw.  The first chunk is
-        small (:data:`NOISE_CHUNK`, 8 columns) and the chunk doubles on
-        every refill up to :data:`NOISE_CHUNK_MAX` (1024), so the draws
-        wasted at the end of a run never exceed the draws consumed by
-        more than the first chunk, and a long run pays few refills.
-        """
-        chunk = self._noise_chunk
-        self._noise_buf = buf = np.empty((len(self._names), chunk))
-        self._noise_chunk = min(chunk * 2, NOISE_CHUNK_MAX)
-        sigma = self._params.noise_sigma_c
-        for i, sensor in enumerate(self._sensors.values()):
-            gauss = sensor._rng.gauss
-            buf[i, :] = [gauss(0.0, sigma) for _ in range(chunk)]
-        self._noise_cursor = 0
-        return buf
+    def _noisy(
+        self, true_temps_c: np.ndarray, time_s: float, path: str
+    ) -> np.ndarray:
+        """``true + offset + noise`` for one vectorized sample: the next
+        row of the shared table, advancing this array's cursor."""
+        if self._faults:
+            raise SimulationError(
+                f"{path} is only valid on a fault-free array; "
+                "use sample() so per-sensor faults apply"
+            )
+        self._check_due(time_s)
+        values = true_temps_c + self._offsets
+        if self._params.noise_sigma_c > 0.0:
+            row = self._row
+            if row >= len(self._noise):
+                if self._sensors is not None:
+                    raise self._mixing_error()
+                self._chunk_index += 1
+                self._noise = self._table.chunk(self._chunk_index)
+                row = 0
+            values += self._noise[row]
+            self._row = row + 1
+        return values
 
     def sample_vector(
         self, true_temps_c: np.ndarray, time_s: float
@@ -241,34 +349,13 @@ class SensorArray:
         ``true_temps_c`` holds the block temperatures in
         :attr:`block_names` order, and the whole array is read with a
         handful of NumPy operations.  Readings are bit-identical to the
-        scalar path -- same offsets, same per-sensor noise streams
-        (pre-drawn in chunks), same round-half-even quantisation --
-        which the equivalence tests assert.  Only valid on a fault-free
-        array (:attr:`vector_eligible`); faulted arrays keep the scalar
-        path's per-sensor handling.
+        scalar path -- same offsets, same per-sensor noise streams (read
+        from the seed's :class:`NoiseTable`), same round-half-even
+        quantisation -- which the equivalence tests assert.  Only valid
+        on a fault-free array (:attr:`vector_eligible`); faulted arrays
+        keep the scalar path's per-sensor handling.
         """
-        if self._has_faults:
-            raise SimulationError(
-                "sample_vector is only valid on a fault-free array; "
-                "use sample() so per-sensor faults apply"
-            )
-        if not self.due(time_s):
-            raise SimulationError(
-                f"sensor sample at t={time_s * 1e6:.1f} us violates the "
-                f"{self._period_s * 1e6:.0f} us sampling period"
-            )
-        self._last_sample_s = time_s
-        if self._offsets is None:
-            self._offsets = np.array(
-                [sensor._offset for sensor in self._sensors.values()]
-            )
-        values = true_temps_c + self._offsets
-        if self._params.noise_sigma_c > 0.0:
-            buf = self._noise_buf
-            if buf is None or self._noise_cursor >= buf.shape[1]:
-                buf = self._refill_noise()
-            values += buf[:, self._noise_cursor]
-            self._noise_cursor += 1
+        values = self._noisy(true_temps_c, time_s, "sample_vector")
         step = self._params.quantisation_c
         if step > 0.0:
             values /= step
@@ -281,42 +368,23 @@ class SensorArray:
 
         The fused-sensing form of :meth:`sample_vector` for policies
         that consume nothing but the array maximum (the paper's
-        trigger/emergency comparisons): same offsets, same pre-drawn
-        per-sensor noise streams, same round-half-even quantisation --
-        the per-block values are computed identically and the maximum of
-        identical values is order-independent, so the returned float is
-        bit-identical to ``max(sample_vector(...).values())`` -- but no
-        per-sample dict is built.  Only valid on a fault-free array
-        (:attr:`vector_eligible`).
+        trigger/emergency comparisons).  Quantisation ``q(v) =
+        rint(v / step) * step`` is monotone, so ``q(max v) == max q(v)``
+        bit for bit (a NaN propagates through both): only the maximum is
+        quantised, and no per-sample dict is built.  Only valid on a
+        fault-free array (:attr:`vector_eligible`).
         """
-        if self._has_faults:
-            raise SimulationError(
-                "sample_hottest is only valid on a fault-free array; "
-                "use sample() so per-sensor faults apply"
-            )
-        if not self.due(time_s):
-            raise SimulationError(
-                f"sensor sample at t={time_s * 1e6:.1f} us violates the "
-                f"{self._period_s * 1e6:.0f} us sampling period"
-            )
-        self._last_sample_s = time_s
-        if self._offsets is None:
-            self._offsets = np.array(
-                [sensor._offset for sensor in self._sensors.values()]
-            )
-        values = true_temps_c + self._offsets
-        if self._params.noise_sigma_c > 0.0:
-            buf = self._noise_buf
-            if buf is None or self._noise_cursor >= buf.shape[1]:
-                buf = self._refill_noise()
-            values += buf[:, self._noise_cursor]
-            self._noise_cursor += 1
+        values = self._noisy(true_temps_c, time_s, "sample_hottest")
+        hottest = float(values.max())
         step = self._params.quantisation_c
         if step > 0.0:
-            values /= step
-            np.round(values, out=values)
-            values *= step
-        return float(values.max())
+            scaled = hottest / step
+            if math.isfinite(scaled):
+                # round() is half-to-even like np.rint; copysign keeps
+                # rint's signed zero.
+                scaled = math.copysign(round(scaled), scaled)
+            hottest = scaled * step
+        return hottest
 
     @staticmethod
     def max_reading(readings: Mapping[str, float]) -> float:

@@ -163,6 +163,11 @@ _TOTALS = BatchStats()
 # ``initial`` bypass it.
 _WARMUP_CACHE: Dict[str, np.ndarray] = {}
 
+# Per-process benchmark workloads, one per name: a Workload is read-only
+# once built, and sharing one object lets compile_workload's per-object
+# schedule cache hit on every run of the benchmark.
+_WORKLOADS: Dict[str, Workload] = {}
+
 # Per-process default substrate (floorplan, thermal model, power model),
 # shared across every engine this module builds: all three are read-only
 # after construction, and re-assembling the thermal network is the
@@ -377,11 +382,19 @@ def stats() -> BatchStats:
     return replace(_TOTALS)
 
 
-def _resolve_workload(spec: RunSpec) -> Workload:
-    if isinstance(spec.workload, str):
+def _named_workload(name: str) -> Workload:
+    """The process's shared :class:`Workload` of benchmark ``name``."""
+    workload = _WORKLOADS.get(name)
+    if workload is None:
         from repro.workloads.spec import build_benchmark
 
-        return build_benchmark(spec.workload)
+        workload = _WORKLOADS.setdefault(name, build_benchmark(name))
+    return workload
+
+
+def _resolve_workload(spec: RunSpec) -> Workload:
+    if isinstance(spec.workload, str):
+        return _named_workload(spec.workload)
     return spec.workload
 
 
@@ -402,9 +415,7 @@ def steady_state_for(workload: Union[str, Workload]) -> np.ndarray:
         from repro.sim.engine import SimulationEngine
 
         if isinstance(workload, str):
-            from repro.workloads.spec import build_benchmark
-
-            workload = build_benchmark(workload)
+            workload = _named_workload(workload)
         floorplan, hotspot, power_model = _default_substrate()
         engine = SimulationEngine(
             workload,

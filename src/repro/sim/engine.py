@@ -561,7 +561,7 @@ class SimulationEngine(SimEngine):
         stride_tol = self._config.stride_drift_tol_w
         stride_slack_w = 1e-9
         if ff_enabled:
-            probe = solver.span_probe(node_idx)
+            probe = solver.span_probe()
             dynamic_vector_fn = self._power.dynamic_vector_w
             leakage_vector_fn = self._power.leakage_vector_w
             stride_dyn_w = np.empty(n_blocks)

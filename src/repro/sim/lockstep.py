@@ -24,9 +24,9 @@ nominal frequency for long stretches).
 
 Specs with ``raise_on_violation``, and specs that are not single-core
 :class:`~repro.sim.batch.RunSpec` instances (e.g. dual-core specs,
-whose engines own private thermal networks and cannot share a BLAS-3
-group), fall back to the serial runner: an emergency must abort only
-its own run, not the whole batch.
+which run on the dual-core die's network and step loop, not the
+single-core one this batch groups), fall back to the serial runner: an
+emergency must abort only its own run, not the whole batch.
 """
 
 from __future__ import annotations
@@ -136,8 +136,8 @@ class LockstepEngine(SimEngine):
         try:
             for index, spec in enumerate(specs):
                 if not isinstance(spec, RunSpec) or spec.config.raise_on_violation:
-                    # Engines with private thermal networks gain nothing
-                    # from BLAS-3 grouping, and raise_on_violation must
+                    # Other engine types cannot join the single-core
+                    # BLAS-3 groups, and raise_on_violation must
                     # abort one run, not the round -- both take the
                     # one-spec path.
                     results[index] = run_one(spec)

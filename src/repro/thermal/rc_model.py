@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Mapping
+from typing import Dict, List, Mapping, NamedTuple
 
 import numpy as np
 
@@ -38,6 +38,42 @@ SINK_PERIPHERY_NODES = (
     "__sink_e__",
     "__sink_w__",
 )
+
+SPAN_CACHE_SIZE = 64
+"""Bound on a network's span -> ``[h+, h-]`` cache
+(:meth:`ThermalNetwork.span_halves`).  A seed-0 paper pass proves its
+strides over about 50 distinct span lengths."""
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+class ModeBasis(NamedTuple):
+    """Eigendecomposition of the whitened operator
+    ``Ã = C^{-1/2} L C^{-1/2}`` (symmetric positive definite)."""
+
+    rates: np.ndarray
+    """``(n,)`` modal decay rates (eigenvalues of ``Ã``), 1/s."""
+    vectors: np.ndarray
+    """``(n, n)`` orthonormal eigenvectors of ``Ã``, one per column."""
+    c_sqrt: np.ndarray
+    """``(n,)`` ``C^{1/2}``."""
+    inv_c_sqrt: np.ndarray
+    """``(n,)`` ``C^{-1/2}``."""
+
+
+class SpanOperators(NamedTuple):
+    """The constant operators of :class:`~repro.thermal.solver.SpanProbe`
+    over the block rows (the derivation is in its docstring)."""
+
+    coeff_op: np.ndarray
+    """``(m + 1 + n, n)``: ``[p | 1 | T] -> c``."""
+    upper_op: np.ndarray
+    """``(2n + m + 1, m)``: ``[c ∘ h+ | |c| ∘ h- | p | 1] -> upper``."""
+    lower_op: np.ndarray
+    """``(2n + m + 1, m)``: ``[c ∘ h+ | |c| ∘ h- | p | 1] -> lower``."""
 
 
 @dataclass(frozen=True)
@@ -120,7 +156,87 @@ class ThermalNetwork:
         """
         from scipy.linalg import lu_solve
 
-        return lu_solve(self._conductance_factor, np.eye(self.size))
+        return _frozen(lu_solve(self._conductance_factor, np.eye(self.size)))
+
+    @cached_property
+    def ambient_source(self) -> np.ndarray:
+        """``g_amb * T_amb``: the ambient's constant source term (W)."""
+        return _frozen(self.ambient_conductance * self.ambient_c)
+
+    @cached_property
+    def generator(self) -> np.ndarray:
+        """``-C^{-1} L``: the generator of the continuous dynamics."""
+        return _frozen(-self.conductance / self.capacitance[:, None])
+
+    @cached_property
+    def mode_basis(self) -> ModeBasis:
+        """Modal decomposition of the whitened operator, computed once
+        per network and shared (read-only) by every solver on it."""
+        c_sqrt = np.sqrt(self.capacitance)
+        inv_c_sqrt = 1.0 / c_sqrt
+        whitened = self.conductance * np.outer(inv_c_sqrt, inv_c_sqrt)
+        rates, vectors = np.linalg.eigh(0.5 * (whitened + whitened.T))
+        return ModeBasis(
+            _frozen(rates), _frozen(vectors), _frozen(c_sqrt), _frozen(inv_c_sqrt)
+        )
+
+    @cached_property
+    def span_operators(self) -> SpanOperators:
+        """The block-row operators of the stride's span envelope
+        (:class:`~repro.thermal.solver.SpanProbe`), built once per
+        network.  Every node outside the block rows is taken to inject
+        zero power -- true of the package nodes, which dissipate
+        nothing (:meth:`power_vector`)."""
+        rows = self.block_node_indices
+        n = self.size
+        m = rows.size
+        _, vectors, c_sqrt, inv_c_sqrt = self.mode_basis
+        modal = vectors.T * c_sqrt
+        # Steady-state response to each row's unit power (one column per
+        # row) and to the ambient source (last column): ``[L^{-1}[:,
+        # rows] | L^{-1} u_amb]``.
+        sources = np.zeros((n, m + 1))
+        sources[rows, np.arange(m)] = 1.0
+        sources[:, m] = self.ambient_source
+        response = self.conductance_inverse @ sources
+        coeff_op = np.empty((m + 1 + n, n))
+        np.negative((modal @ response).T, out=coeff_op[:m + 1])
+        coeff_op[m + 1:] = modal.T
+        basis_t = (vectors[rows] * inv_c_sqrt[rows, None]).T
+        ops = np.empty((2, 2 * n + m + 1, m))
+        ops[:, :n] = basis_t
+        np.abs(basis_t, out=ops[0, n:2 * n])
+        np.negative(ops[0, n:2 * n], out=ops[1, n:2 * n])
+        ops[:, 2 * n:] = response[rows].T
+        return SpanOperators(
+            _frozen(coeff_op), _frozen(ops[0]), _frozen(ops[1])
+        )
+
+    @cached_property
+    def _span_halves(self) -> Dict[float, np.ndarray]:
+        return {}
+
+    def span_halves(self, span_s: float) -> np.ndarray:
+        """``[h+, h-] = [(1 + d) / 2, (1 - d) / 2]`` with the modal span
+        decays ``d = exp(-rates * span_s)``, cached per network.
+
+        Keyed by the exact span, so that a cached entry is always the
+        value the span itself would compute and no run can see another
+        run's rounding.  The cache is a plain dict emptied when it holds
+        :data:`SPAN_CACHE_SIZE` entries: each operation is atomic, so
+        threads may share it.
+        """
+        cache = self._span_halves
+        halves = cache.get(span_s)
+        if halves is None:
+            decay = np.exp(-self.mode_basis.rates * span_s)
+            halves = _frozen(
+                np.concatenate([(1.0 + decay) * 0.5, (1.0 - decay) * 0.5])
+            )
+            if len(cache) >= SPAN_CACHE_SIZE:
+                cache.clear()
+            cache[span_s] = halves
+        return halves
 
     def solve_steady(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``L x = rhs`` against the cached factorisation."""

@@ -106,10 +106,6 @@ class _LruCache:
             self._data.popitem(last=False)
 
 
-def _ambient_source(network: ThermalNetwork) -> np.ndarray:
-    return network.ambient_conductance * network.ambient_c
-
-
 def steady_state(network: ThermalNetwork, power: np.ndarray) -> np.ndarray:
     """Solve ``L T = P + g_amb * T_amb`` for the steady temperatures.
 
@@ -130,7 +126,7 @@ def steady_state(network: ThermalNetwork, power: np.ndarray) -> np.ndarray:
         raise ThermalModelError(
             f"power vector has shape {power.shape}, expected ({network.size},)"
         )
-    rhs = power + _ambient_source(network)
+    rhs = power + network.ambient_source
     try:
         return network.solve_steady(rhs)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
@@ -163,7 +159,7 @@ class TransientSolver:
             )
         self._network = network
         self._temps = np.array(initial, dtype=float, copy=True)
-        self._ambient_source = _ambient_source(network)
+        self._ambient_source = network.ambient_source
         self._factor_cache = _LruCache(FACTOR_CACHE_SIZE)
         self._rhs = np.empty(network.size)
         self._time_s = 0.0
@@ -282,9 +278,7 @@ class ExponentialSolver:
             )
         self._network = network
         self._temps = np.array(initial, dtype=float, copy=True)
-        self._ambient_source = _ambient_source(network)
-        # -C^{-1} L: the generator of the continuous dynamics.
-        self._generator = -network.conductance / network.capacitance[:, None]
+        self._ambient_source = network.ambient_source
         self._linv = network.conductance_inverse
         self._prop_cache = _LruCache(FACTOR_CACHE_SIZE)
         self._power_cache = _LruCache(POWER_CACHE_SIZE)
@@ -293,12 +287,6 @@ class ExponentialSolver:
         self._u = np.empty(n)
         self._scratch = np.empty(n)
         self._out = np.empty(n)
-        # Capacitance weights for the trajectory envelope bound (see
-        # :meth:`span_envelope`); the modal decomposition of the
-        # whitened operator is computed lazily on first use.
-        self._c_sqrt = np.sqrt(network.capacitance)
-        self._inv_c_sqrt = 1.0 / self._c_sqrt
-        self._modes: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._time_s = 0.0
         #: Set when a numerical-health trip forced a backward-Euler
         #: recovery; the engine then disables fast-forward for the rest
@@ -331,7 +319,7 @@ class ExponentialSolver:
         key = self._dt_key(dt)
         cached = self._prop_cache.get(key)
         if cached is None:
-            a_d = expm(self._generator * dt)
+            a_d = expm(self._network.generator * dt)
             b_d = (np.eye(self._network.size) - a_d) @ self._linv
             cached = (np.ascontiguousarray(a_d), np.ascontiguousarray(b_d))
             self._prop_cache.put(key, cached)
@@ -485,18 +473,6 @@ class ExponentialSolver:
                 steps,
             )
 
-    def _mode_basis(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Eigendecomposition of the whitened operator
-        ``Ã = C^{-1/2} L C^{-1/2}`` (symmetric positive definite), cached
-        for the solver's lifetime."""
-        if self._modes is None:
-            whitened = self._network.conductance * np.outer(
-                self._inv_c_sqrt, self._inv_c_sqrt
-            )
-            rates, vectors = np.linalg.eigh(0.5 * (whitened + whitened.T))
-            self._modes = (rates, vectors)
-        return self._modes
-
     def span_envelope(
         self, power: np.ndarray, span_s: float
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -523,22 +499,21 @@ class ExponentialSolver:
             )
         if span_s <= 0.0:
             raise ThermalModelError(f"span must be > 0, got {span_s}")
-        rates, vectors = self._mode_basis()
+        rates, vectors, c_sqrt, inv_c_sqrt = self._network.mode_basis
         u = power + self._ambient_source
         t_ss = self._linv @ u
-        coeffs = vectors.T @ (self._c_sqrt * (self._temps - t_ss))
-        weights = (vectors * coeffs[None, :]) * self._inv_c_sqrt[:, None]
+        coeffs = vectors.T @ (c_sqrt * (self._temps - t_ss))
+        weights = (vectors * coeffs[None, :]) * inv_c_sqrt[:, None]
         decayed = weights * np.exp(-rates * span_s)[None, :]
         lower = t_ss + np.minimum(weights, decayed).sum(axis=1)
         upper = t_ss + np.maximum(weights, decayed).sum(axis=1)
         return lower, upper
 
-    def span_probe(self, rows: np.ndarray) -> "SpanProbe":
-        """A closed-form :meth:`span_envelope` over the node subset
-        ``rows``, taking powers on those rows only: every other node
-        must inject zero power (the engine passes its block-node
-        indices).  See :class:`SpanProbe`."""
-        return SpanProbe(self, rows)
+    def span_probe(self) -> "SpanProbe":
+        """A closed-form :meth:`span_envelope` over the block rows,
+        taking block powers only (the package nodes inject none).  See
+        :class:`SpanProbe`."""
+        return SpanProbe(self)
 
     def reset(self, temperatures: np.ndarray) -> None:
         """Overwrite the state with ``temperatures`` and zero the clock."""
@@ -553,7 +528,7 @@ class ExponentialSolver:
 
 
 class SpanProbe:
-    """Closed-form span envelope over a fixed row subset, in stacked form.
+    """Closed-form span envelope over the block rows, in stacked form.
 
     The engine's event-driven stride asks, once per sensor period, for
     bounds on the *block* temperatures over the coming span, under a
@@ -569,54 +544,40 @@ class SpanProbe:
 
         upper/lower = T_ss[rows] + R (c ∘ h+) ± |R| (|c| ∘ h-).
 
-    Only the pair ``[h+, h-]`` depends on the span length; it is cached
-    per span in an LRU of :data:`FACTOR_CACHE_SIZE` entries.  Everything
-    else is one of three constant operators built here:
+    Only the pair ``[h+, h-]`` depends on the span length
+    (:meth:`~repro.thermal.rc_model.ThermalNetwork.span_halves`, cached
+    per network).  Everything else is one of three constant operators,
+    built once per network
+    (:attr:`~repro.thermal.rc_model.ThermalNetwork.span_operators`) and
+    shared by every probe on it:
 
     * ``[p | 1 | T] -> c``: ``c = H T - H L^{-1} u`` with the power
       ``u`` split into the row powers ``p`` and the ambient source.
       Every node outside ``rows`` is taken to inject zero power -- true
       of the package nodes (spreader, sink), which dissipate nothing
-      (:meth:`~repro.thermal.rc_model.ThermalNetwork.power_vector`), when
-      ``rows`` are the block nodes.
+      (:meth:`~repro.thermal.rc_model.ThermalNetwork.power_vector`).
     * ``[c ∘ h+ | |c| ∘ h- | p | 1] -> upper`` and ``-> lower``: the
       modal sums plus ``T_ss[rows] = L^{-1}[rows, rows] p +
       (L^{-1} u_amb)[rows]``.
 
-    Inputs are row powers: ``(m,)`` for :meth:`bounds`, ``(2, m)`` for
-    :meth:`widened`.  Both return the probe's own ``(2, m)`` buffer
-    holding ``[upper; lower]``, overwritten by the next call.  The
-    bounds equal ``span_envelope`` on the rows up to the reassociation
-    of the sums (about 1e-13 C on the default network;
-    ``tests/thermal/test_span_probe.py``).
+    A probe only allocates its work buffers.  Inputs are row powers:
+    ``(m,)`` for :meth:`bounds`, ``(2, m)`` for :meth:`widened`.  Both
+    return the probe's own ``(2, m)`` buffer holding ``[upper; lower]``,
+    overwritten by the next call.  The bounds equal ``span_envelope`` on
+    the rows up to the reassociation of the sums (about 1e-13 C on the
+    default network; ``tests/thermal/test_span_probe.py``).
     """
 
-    def __init__(self, solver: "ExponentialSolver", rows: np.ndarray):
+    def __init__(self, solver: "ExponentialSolver"):
         self._solver = solver
-        rows = np.asarray(rows, dtype=np.intp)
-        n = solver._network.size
-        m = rows.size
-        rates, vectors = solver._mode_basis()
-        self._rates = rates
-        modal = vectors.T * solver._c_sqrt
-        # Steady-state response to each row's unit power (one column per
-        # row) and to the ambient source (last column): ``[L^{-1}[:,
-        # rows] | L^{-1} u_amb]``.
-        sources = np.zeros((n, m + 1))
-        sources[rows, np.arange(m)] = 1.0
-        sources[:, m] = solver._ambient_source
-        response = solver._linv @ sources
-        self._coeff_op = np.empty((m + 1 + n, n))
-        np.negative((modal @ response).T, out=self._coeff_op[:m + 1])
-        self._coeff_op[m + 1:] = modal.T
-        basis_t = (vectors[rows] * solver._inv_c_sqrt[rows, None]).T
-        ops = np.empty((2, 2 * n + m + 1, m))
-        ops[:, :n] = basis_t
-        np.abs(basis_t, out=ops[0, n:2 * n])
-        np.negative(ops[0, n:2 * n], out=ops[1, n:2 * n])
-        ops[:, 2 * n:] = response[rows].T
-        self._upper_op, self._lower_op = ops
-        self._halves_cache = _LruCache(FACTOR_CACHE_SIZE)
+        network = solver._network
+        self._halves = network.span_halves
+        ops = network.span_operators
+        self._coeff_op = ops.coeff_op
+        self._upper_op = ops.upper_op
+        self._lower_op = ops.lower_op
+        n = network.size
+        m = network.block_node_indices.size
         # One work row per envelope side, laid out
         # ``[c ∘ h+ | |c| ∘ h- | p | 1 | T]`` so both products read
         # contiguous slices of it.
@@ -634,16 +595,6 @@ class SpanProbe:
         self._out = np.empty((2, m))
         self._upper = self._out[0]
         self._lower = self._out[1]
-
-    def _halves(self, span_s: float) -> np.ndarray:
-        """``[h+, h-]`` for a span of ``span_s`` seconds, cached per span."""
-        key = int(round(span_s * 1e15))
-        cached = self._halves_cache.get(key)
-        if cached is None:
-            decay = np.exp(-self._rates * span_s)
-            cached = np.concatenate([(1.0 + decay) * 0.5, (1.0 - decay) * 0.5])
-            self._halves_cache.put(key, cached)
-        return cached
 
     def bounds(self, powers: np.ndarray, span_s: float) -> np.ndarray:
         """``[upper; lower]`` on the rows for the trajectory under the

@@ -55,3 +55,16 @@ def uniform_activities(floorplan):
 def warm_temperatures(floorplan):
     """A flat 85 C temperature map over all blocks."""
     return {name: 85.0 for name in floorplan.block_names}
+
+
+@pytest.fixture()
+def fresh_tables(monkeypatch):
+    """An empty sensor noise-table cache for one test; the process's
+    cache is put back afterwards."""
+    from collections import OrderedDict
+
+    import repro.sensors.array as sensor_array
+
+    tables = OrderedDict()
+    monkeypatch.setattr(sensor_array, "_TABLES", tables)
+    return tables

@@ -5,7 +5,12 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sensors import SensorArray, SensorParameters
-from repro.sensors.array import NOISE_CHUNK, NOISE_CHUNK_MAX
+from repro.sensors.array import (
+    NOISE_CHUNK,
+    NOISE_CHUNK_MAX,
+    NOISE_TABLES,
+    noise_table,
+)
 from repro.sensors.faults import SensorFault
 
 
@@ -87,17 +92,19 @@ class TestVectorPath:
     """The engine's vectorized sensing fast path.
 
     ``sample_vector`` must be *bit-identical* to ``sample``: same fixed
-    offsets, same per-sensor noise streams (pre-drawn in growing
-    chunks), same round-half-even quantisation.
+    offsets, same per-sensor noise streams (read from the seed's shared
+    noise table, drawn in growing chunks), same round-half-even
+    quantisation.
     """
 
     def _vector_temps(self, array, temps):
         return np.array([temps[name] for name in array.block_names])
 
     @staticmethod
-    def _refill_boundaries():
-        """Sample counts at which the noise buffer runs dry: the
-        cumulative chunk sizes, through the first capped chunk."""
+    def _chunk_boundaries():
+        """Sample counts at which a fresh table must draw its next
+        chunk: the cumulative chunk sizes, through the first capped
+        chunk."""
         boundaries, drawn, chunk = [], 0, NOISE_CHUNK
         while True:
             drawn += chunk
@@ -106,19 +113,23 @@ class TestVectorPath:
                 return boundaries
             chunk = min(chunk * 2, NOISE_CHUNK_MAX)
 
-    def test_bit_identical_to_scalar_across_chunk_refills(self, floorplan):
-        boundaries = self._refill_boundaries()
+    def test_bit_identical_to_scalar_across_chunk_refills(
+        self, floorplan, fresh_tables
+    ):
+        boundaries = self._chunk_boundaries()
         assert len(boundaries) >= 3
         scalar = SensorArray(floorplan, seed=7)
         vector = SensorArray(floorplan, seed=7)
         hottest = SensorArray(floorplan, seed=7)
+        table = noise_table(vector.parameters, 7, len(vector.block_names))
         temps = flat_temps(floorplan)
         vec = self._vector_temps(vector, temps)
         period = scalar.sampling_period_s
-        cursors, widths = [], []
-        # Sample k reads column k of the schedule, so comparing every
-        # sample through the last boundary + 1 covers the counts just
-        # before, at and just after each refill.
+        rows = []
+        # Sample k reads row k of the table, so comparing every sample
+        # through the last boundary + 1 covers the counts just before,
+        # at and just after each growth step.  ``vector`` and
+        # ``hottest`` read the one table through their own cursors.
         for i in range(boundaries[-1] + 2):
             time_s = i * period
             expected = scalar.sample(temps, time_s)
@@ -126,37 +137,97 @@ class TestVectorPath:
             assert hottest.sample_hottest(vec, time_s) == max(
                 expected.values()
             ), i
-            cursors.append(vector._noise_cursor)
-            widths.append(vector._noise_buf.shape[1])
-        # A sample that left the cursor at 1 read column 0 of a new chunk.
-        refills = [i for i in range(1, len(cursors)) if cursors[i] == 1]
-        assert refills == boundaries
-        assert max(widths) == NOISE_CHUNK_MAX
+            rows.append(table.rows)
+        # The table grew exactly when a sample read past its last row.
+        grown = [i for i in range(1, len(rows)) if rows[i] != rows[i - 1]]
+        assert grown == boundaries
+        assert rows[0] == NOISE_CHUNK
+        assert rows[-1] == boundaries[-1] + NOISE_CHUNK_MAX
+        # A later array on the grown table reads the same values
+        # without drawing any.
+        late = SensorArray(floorplan, seed=7)
+        replay = SensorArray(floorplan, seed=7)
+        for i in range(boundaries[-1] + 2):
+            time_s = i * period
+            assert late.sample_vector(vec, time_s) == replay.sample(
+                temps, time_s
+            ), i
+        assert table.rows == rows[-1]
 
-    def test_one_sample_draws_at_most_the_first_chunk(self, floorplan):
+    def test_one_sample_draws_at_most_the_first_chunk(
+        self, floorplan, fresh_tables
+    ):
         array = SensorArray(floorplan, seed=2)
-        draws = {}
-        for name in array.block_names:
-            rng = array._sensors[name]._rng
-
-            def counting(mu, sigma, _gauss=rng.gauss, _name=name):
-                draws[_name] = draws.get(_name, 0) + 1
-                return _gauss(mu, sigma)
-
-            rng.gauss = counting
+        table = noise_table(array.parameters, 2, len(array.block_names))
+        assert table.rows == 0
         vec = self._vector_temps(array, flat_temps(floorplan))
-        array.sample_vector(vec, 0.0)
+        first = array.sample_vector(vec, 0.0)
         assert NOISE_CHUNK <= 8
-        assert set(draws) == set(array.block_names)
-        assert max(draws.values()) <= NOISE_CHUNK
+        assert table.rows == NOISE_CHUNK
+        assert table.chunk(0).shape == (NOISE_CHUNK, len(array.block_names))
+        # A second array on the seed shares the drawn chunk.
+        again = SensorArray(floorplan, seed=2).sample_vector(vec, 0.0)
+        assert again == first
+        assert table.rows == NOISE_CHUNK
 
-    def test_noise_chunk_growth_is_bounded(self, floorplan):
+    def test_noise_chunk_growth_is_bounded(self, floorplan, fresh_tables):
         array = SensorArray(floorplan, seed=3)
+        table = noise_table(array.parameters, 3, len(array.block_names))
         vec = self._vector_temps(array, flat_temps(floorplan))
         period = array.sampling_period_s
-        for i in range(NOISE_CHUNK * 40):
+        samples = NOISE_CHUNK * 40
+        for i in range(samples):
             array.sample_vector(vec, i * period)
-        assert array._noise_chunk <= NOISE_CHUNK_MAX
+        chunks = [table.chunk(k) for k in range(len(table._chunks))]
+        assert all(len(chunk) <= NOISE_CHUNK_MAX for chunk in chunks)
+        assert samples <= table.rows < 2 * samples + NOISE_CHUNK
+
+    def test_shared_table_is_read_only(self, floorplan, fresh_tables):
+        array = SensorArray(floorplan, seed=4)
+        vec = self._vector_temps(array, flat_temps(floorplan))
+        array.sample_vector(vec, 0.0)
+        table = noise_table(array.parameters, 4, len(array.block_names))
+        assert not table.offsets.flags.writeable
+        assert not table.chunk(0).flags.writeable
+        assert not table.chunk(3).flags.writeable
+
+    def test_table_count_is_bounded_and_eviction_replays(
+        self, floorplan, fresh_tables
+    ):
+        vec = self._vector_temps(
+            SensorArray(floorplan, seed=0), flat_temps(floorplan)
+        )
+
+        def readings(seed):
+            array = SensorArray(floorplan, seed=seed)
+            period = array.sampling_period_s
+            return [array.sample_vector(vec, i * period) for i in range(20)]
+
+        before = readings(5)
+        for seed in range(100, 100 + NOISE_TABLES + 3):
+            readings(seed)
+            assert len(fresh_tables) <= NOISE_TABLES
+        assert len(fresh_tables) == NOISE_TABLES
+        assert all(key[0] != 5 for key in fresh_tables)
+        assert readings(5) == before
+
+    def test_hottest_quantises_only_the_maximum(self, floorplan):
+        rng = np.random.default_rng(0)
+        vector = SensorArray(floorplan, seed=9)
+        hottest = SensorArray(floorplan, seed=9)
+        period = vector.sampling_period_s
+        n = len(vector.block_names)
+        for i in range(200):
+            vec = rng.uniform(-80.0, 160.0, n)
+            if i % 7 == 3:
+                vec[rng.integers(n)] = np.nan
+            values = np.array(list(vector.sample_vector(vec, i * period).values()))
+            got = hottest.sample_hottest(vec, i * period)
+            expected = np.max(values)
+            if np.isnan(expected):
+                assert np.isnan(got), i
+            else:
+                assert got == expected, i
 
     def test_fault_free_array_is_vector_eligible(self, array):
         assert array.vector_eligible
@@ -176,6 +247,24 @@ class TestVectorPath:
         array.sample_vector(vec, 0.0)
         with pytest.raises(SimulationError, match="mix"):
             array.sample(flat_temps(floorplan), array.sampling_period_s)
+
+    def test_mixing_vector_reads_into_scalar_stream_raises(self, floorplan):
+        array = SensorArray(floorplan, seed=0)
+        vec = self._vector_temps(array, flat_temps(floorplan))
+        array.sample(flat_temps(floorplan), 0.0)
+        with pytest.raises(SimulationError, match="mix"):
+            array.sample_hottest(vec, array.sampling_period_s)
+
+    def test_reset_rewinds_both_paths(self, floorplan):
+        array = SensorArray(floorplan, seed=6)
+        temps = flat_temps(floorplan)
+        vec = self._vector_temps(array, temps)
+        period = array.sampling_period_s
+        first = [array.sample_vector(vec, i * period) for i in range(12)]
+        array.reset()
+        assert [array.sample(temps, i * period) for i in range(12)] == first
+        array.reset()
+        assert [array.sample_vector(vec, i * period) for i in range(12)] == first
 
     def test_vector_respects_sampling_period(self, floorplan):
         array = SensorArray(floorplan, seed=0)

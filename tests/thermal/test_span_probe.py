@@ -11,7 +11,9 @@ in for, on random node states, block powers and span lengths from
   restricted to the block rows (up to summation order);
 * the envelope contains every dense
   :meth:`~repro.thermal.solver.ExponentialSolver.step` of the span;
-* the per-span cache never grows past ``FACTOR_CACHE_SIZE``.
+* the operators and the per-span cache live on the network, read-only
+  and shared by every probe, and the cache never grows past
+  ``SPAN_CACHE_SIZE``.
 """
 
 import numpy as np
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.floorplan import build_alpha21364_floorplan
 from repro.thermal import ExponentialSolver, ThermalPackage, build_thermal_network
-from repro.thermal.solver import FACTOR_CACHE_SIZE
+from repro.thermal.rc_model import SPAN_CACHE_SIZE
 
 TOL_C = 1e-9
 
@@ -57,7 +59,7 @@ def _envelope(solver, powers, span_s):
 @given(offset=offsets, powers=block_powers, span_s=spans)
 def test_bounds_match_span_envelope(offset, powers, span_s):
     solver = _solver(offset)
-    probe = solver.span_probe(ROWS)
+    probe = solver.span_probe()
     got = probe.bounds(powers, span_s)
     assert got.shape == (2, M)
     upper, lower = _envelope(solver, powers, span_s)
@@ -71,7 +73,7 @@ def test_bounds_match_span_envelope(offset, powers, span_s):
 )
 def test_widened_rows_match_span_envelope(offset, inflated, deflated, span_s):
     solver = _solver(offset)
-    probe = solver.span_probe(ROWS)
+    probe = solver.span_probe()
     got = probe.widened(np.stack([inflated, deflated]), span_s)
     upper, _ = _envelope(solver, inflated, span_s)
     _, lower = _envelope(solver, deflated, span_s)
@@ -88,7 +90,7 @@ def test_widened_rows_match_span_envelope(offset, inflated, deflated, span_s):
 )
 def test_envelope_contains_dense_steps(offset, powers, span_s, steps):
     solver = _solver(offset)
-    upper, lower = solver.span_probe(ROWS).bounds(powers, span_s).copy()
+    upper, lower = solver.span_probe().bounds(powers, span_s).copy()
     full = _full(powers)
     dt = span_s / steps
     for _ in range(steps):
@@ -99,7 +101,7 @@ def test_envelope_contains_dense_steps(offset, powers, span_s, steps):
 
 def test_probe_tracks_solver_state():
     solver = _solver(np.full(N, 30.0))
-    probe = solver.span_probe(ROWS)
+    probe = solver.span_probe()
     powers = np.full(M, 2.0)
     before = probe.bounds(powers, 1e-4).copy()
     solver.step(_full(powers), 1e-3)
@@ -111,14 +113,40 @@ def test_probe_tracks_solver_state():
 
 
 def test_span_cache_is_bounded():
-    solver = _solver(np.full(N, 30.0))
-    probe = solver.span_probe(ROWS)
-    powers = np.full(M, 2.0)
-    for i in range(FACTOR_CACHE_SIZE + 20):
-        probe.bounds(powers, (i + 1) * 1e-6)
-        assert len(probe._halves_cache) <= FACTOR_CACHE_SIZE
-    assert len(probe._halves_cache) == FACTOR_CACHE_SIZE
-    # A repeated span reuses its cached entry.
-    assert probe._halves(1e-6 * FACTOR_CACHE_SIZE) is probe._halves(
-        1e-6 * FACTOR_CACHE_SIZE
+    network = build_thermal_network(
+        build_alpha21364_floorplan(), ThermalPackage()
     )
+    probe = ExponentialSolver(network, np.full(N, 75.0)).span_probe()
+    powers = np.full(M, 2.0)
+    for i in range(SPAN_CACHE_SIZE + 20):
+        probe.bounds(powers, (i + 1) * 1e-6)
+        assert 0 < len(network._span_halves) <= SPAN_CACHE_SIZE
+    # A repeated span reuses its cached entry.
+    span_s = 1e-6 * SPAN_CACHE_SIZE
+    assert network.span_halves(span_s) is network.span_halves(span_s)
+
+
+def test_span_cache_is_keyed_by_the_exact_span():
+    span_s = 1.0e-4
+    nearby = span_s * (1.0 + 2e-16)  # rounds to the same femtosecond
+    assert nearby != span_s
+    rates = NETWORK.mode_basis.rates
+    for span in (span_s, nearby, span_s):
+        decay = np.exp(-rates * span)
+        np.testing.assert_array_equal(
+            NETWORK.span_halves(span),
+            np.concatenate([(1.0 + decay) * 0.5, (1.0 - decay) * 0.5]),
+        )
+
+
+def test_operators_are_shared_and_read_only():
+    first = _solver(np.full(N, 30.0)).span_probe()
+    second = _solver(np.full(N, 60.0)).span_probe()
+    assert first._coeff_op is second._coeff_op
+    assert first._upper_op is second._upper_op
+    ops = NETWORK.span_operators
+    basis = NETWORK.mode_basis
+    for array in (*ops, *basis, NETWORK.span_halves(1e-4),
+                  NETWORK.conductance_inverse, NETWORK.ambient_source,
+                  NETWORK.generator):
+        assert not array.flags.writeable
