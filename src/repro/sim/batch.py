@@ -247,9 +247,19 @@ def _pool_worker_init() -> None:
     already loads both numpy's and scipy's OpenBLAS (the thermal
     solver imports ``scipy.linalg``), so a worker has both mapped by
     the time this runs, whether forked or spawned.
+
+    Setting the count starts the library's thread server (a fork leaves
+    it stopped), and its idle threads busy-wait for the library's thread
+    timeout, about 0.1 s of CPU each, beside the worker's first runs.
+    At one thread nothing ever wakes them, so the server is stopped
+    again at once through ``blas_thread_shutdown_`` (the call OpenBLAS
+    itself makes before a fork); a one-thread library never restarts it.
     """
-    for _, set_threads, _ in _loaded_openblas():
+    for path, set_threads, _ in _loaded_openblas():
         set_threads(1)
+        shutdown = getattr(ctypes.CDLL(path), "blas_thread_shutdown_", None)
+        if shutdown is not None:
+            shutdown()
 
 
 # The worker pool persists across run_many calls: a sweep issues one

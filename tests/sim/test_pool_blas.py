@@ -42,8 +42,26 @@ def _assert_pinned(pool):
     assert set(threads.values()) == {1}, threads
 
 
+def _process_threads():
+    """Threads of the calling process, from procfs."""
+    return len(os.listdir("/proc/self/task"))
+
+
 def test_pool_worker_reads_one_thread():
     _assert_pinned(batch._get_pool(2))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no procfs")
+def test_pinned_worker_keeps_no_blas_threads():
+    # Setting the count starts the library's thread server, whose idle
+    # threads would busy-wait beside the worker's first runs; the pin
+    # stops it, and single-threaded BLAS calls never restart it.
+    pool = batch._get_pool(2)
+    specs = [RunSpec(name, "Hyb", instructions=250_000) for name in ("gzip", "gcc")]
+    assert len(run_many(specs, processes=2)) == len(specs)
+    assert batch._POOL is pool, "the sweep did not use the pool"
+    counts = [pool.submit(_process_threads).result(timeout=60.0) for _ in range(4)]
+    assert set(counts) == {1}, counts
 
 
 def test_parent_thread_counts_unchanged_by_pooled_sweep():
